@@ -113,24 +113,6 @@ func BenchmarkA2AdaptiveIntervals(b *testing.B) {
 	runExperiment(b, func() (*metrics.Table, error) { return bench.A2(quick) })
 }
 
-// BenchmarkPipelineAB compares the streaming operator pipeline against the
-// materializing fallback executor on the star-schema workload.
-func BenchmarkPipelineAB(b *testing.B) {
-	runExperiment(b, func() (*metrics.Table, error) {
-		tbl, _, err := bench.PipelineAB(quick)
-		return tbl, err
-	})
-}
-
-// BenchmarkCacheAB compares cached, indexed, and full-scan rolling
-// propagation on the star-schema workload.
-func BenchmarkCacheAB(b *testing.B) {
-	runExperiment(b, func() (*metrics.Table, error) {
-		tbl, _, err := bench.CacheAB(quick)
-		return tbl, err
-	})
-}
-
 // --- micro-benchmarks on the core machinery ---
 
 // BenchmarkPropagationStep measures one rolling forward step (query
@@ -160,43 +142,12 @@ func BenchmarkPropagationStep(b *testing.B) {
 	}
 }
 
-// BenchmarkPropagationStepCached is BenchmarkPropagationStep with the
-// join-state cache enabled: forward steps probe resident indexes instead of
-// scanning the base tables under locks.
-func BenchmarkPropagationStepCached(b *testing.B) {
-	env, err := bench.NewEnvBare(workload.Chain(2, 1000, 100), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer env.Close()
-	env.DB.SetJoinCache(true)
-	d := workload.NewDriver(env.DB, env.W, 2)
-	rp := core.NewRollingPropagator(env.Exec, 0, core.FixedInterval(4))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		last, err := d.Run(4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := env.Cap.WaitProgress(last); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if err := rp.Step(); err != nil && err != core.ErrNoProgress {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPropagationAllocs proves the batch and arena reuse drops
-// allocations per propagation step: run with -benchmem and compare the
-// pooled and unpooled sub-benchmarks' allocs/op on the identical workload.
-// The pool=on/off arms time the full engine step (whose transaction and
-// WAL machinery allocates by design); the hotpath arm isolates the
-// executor pipeline itself — scan, hash join, filter, projection over a
-// reused arena — and must report 0 allocs/op in steady state, which CI
-// gates on.
+// BenchmarkPropagationAllocs reports allocations per propagation step;
+// run it with -benchmem. The step arm times the full engine step (whose
+// transaction and WAL machinery allocates by design); the hotpath arm
+// isolates the executor pipeline itself — scan, hash join, filter,
+// projection over a reused arena — and must report 0 allocs/op in steady
+// state, which CI gates on.
 func BenchmarkPropagationAllocs(b *testing.B) {
 	b.Run("hotpath", func(b *testing.B) {
 		base := relalg.NewRelation(nil)
@@ -245,39 +196,31 @@ func BenchmarkPropagationAllocs(b *testing.B) {
 			run()
 		}
 	})
-	for _, pooled := range []bool{false, true} {
-		name := "pool=off"
-		if pooled {
-			name = "pool=on"
+	b.Run("step", func(b *testing.B) {
+		env, err := bench.NewEnvBare(workload.Chain(2, 1000, 100), 1)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			exec.DisableBatchPool = !pooled
-			defer func() { exec.DisableBatchPool = false }()
-			env, err := bench.NewEnvBare(workload.Chain(2, 1000, 100), 1)
+		defer env.Close()
+		d := workload.NewDriver(env.DB, env.W, 2)
+		rp := core.NewRollingPropagator(env.Exec, 0, core.FixedInterval(4))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			last, err := d.Run(4)
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer env.Close()
-			d := workload.NewDriver(env.DB, env.W, 2)
-			rp := core.NewRollingPropagator(env.Exec, 0, core.FixedInterval(4))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				last, err := d.Run(4)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := env.Cap.WaitProgress(last); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if err := rp.Step(); err != nil && err != core.ErrNoProgress {
-					b.Fatal(err)
-				}
+			if err := env.Cap.WaitProgress(last); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			b.StartTimer()
+			if err := rp.Step(); err != nil && err != core.ErrNoProgress {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkApplyWindow measures rolling a materialized view forward by one

@@ -9,8 +9,8 @@
 // (results are checked against recomputation oracles) and the command exits
 // non-zero on any failure. Alongside the text tables, a machine-readable
 // summary — per-experiment wall time, engine counters (rows scanned/joined,
-// query and index-probe counts), and the operator-pipeline A/B speedups —
-// is written to the -json path ("" disables it).
+// query and index-probe counts), and the A/B experiments' entries — is
+// written to the -json path ("" disables it).
 package main
 
 import (
@@ -32,25 +32,20 @@ type experiment struct {
 
 // experimentResult is one experiment's machine-readable record.
 type experimentResult struct {
-	ID             string `json:"id"`
-	Desc           string `json:"desc"`
-	OK             bool   `json:"ok"`
-	Ns             int64  `json:"ns"`
-	RowsScanned    int64  `json:"rows_scanned"`
-	RowsJoined     int64  `json:"rows_joined"`
-	QueriesRun     int64  `json:"queries_run"`
-	IndexProbes    int64  `json:"index_probes"`
-	CacheHits      int64  `json:"cache_hits,omitempty"`
-	CacheMisses    int64  `json:"cache_misses,omitempty"`
-	CacheMaintRows int64  `json:"cache_maint_rows,omitempty"`
+	ID          string `json:"id"`
+	Desc        string `json:"desc"`
+	OK          bool   `json:"ok"`
+	Ns          int64  `json:"ns"`
+	RowsScanned int64  `json:"rows_scanned"`
+	RowsJoined  int64  `json:"rows_joined"`
+	QueriesRun  int64  `json:"queries_run"`
+	IndexProbes int64  `json:"index_probes"`
 }
 
 // report is the top-level BENCH_rollbench.json document.
 type report struct {
 	Quick       bool                     `json:"quick"`
 	Experiments []experimentResult       `json:"experiments"`
-	PipelineAB  []bench.ABEntry          `json:"pipeline_ab,omitempty"`
-	CacheAB     []bench.CacheABEntry     `json:"cache_ab,omitempty"`
 	SnapshotAB  []bench.SnapshotABEntry  `json:"snapshot_ab,omitempty"`
 	MultiViewAB []bench.MultiViewABEntry `json:"multiview_ab,omitempty"`
 	PartitionAB []bench.PartitionABEntry `json:"partition_ab,omitempty"`
@@ -67,8 +62,6 @@ func main() {
 	flag.Parse()
 	scale := bench.Scale{Quick: *quick}
 
-	var abEntries []bench.ABEntry
-	var cacheEntries []bench.CacheABEntry
 	var snapshotEntries []bench.SnapshotABEntry
 	var multiViewEntries []bench.MultiViewABEntry
 	var partitionEntries []bench.PartitionABEntry
@@ -102,18 +95,6 @@ func main() {
 			func(s bench.Scale) (fmt.Stringer, error) { return bench.A1(s) }},
 		{"A2", "ablation: fixed vs adaptive propagation intervals",
 			func(s bench.Scale) (fmt.Stringer, error) { return bench.A2(s) }},
-		{"AB", "operator pipeline vs materializing executor",
-			func(s bench.Scale) (fmt.Stringer, error) {
-				tbl, entries, err := bench.PipelineAB(s)
-				abEntries = entries
-				return tbl, err
-			}},
-		{"CACHE", "join-state cache vs scan and index propagation",
-			func(s bench.Scale) (fmt.Stringer, error) {
-				tbl, entries, err := bench.CacheAB(s)
-				cacheEntries = entries
-				return tbl, err
-			}},
 		{"SNAPSHOT", "read-view reads vs S-lock scans under concurrent writers",
 			func(s bench.Scale) (fmt.Stringer, error) {
 				tbl, entries, err := bench.SnapshotAB(s)
@@ -132,7 +113,7 @@ func main() {
 				partitionEntries = entries
 				return tbl, err
 			}},
-		{"BATCH", "row vs columnar batch layout vs columnar+arena",
+		{"BATCH", "columnar+arena batch layer under scan propagation",
 			func(s bench.Scale) (fmt.Stringer, error) {
 				tbl, entries, err := bench.BatchAB(s)
 				batchEntries = entries
@@ -161,7 +142,7 @@ func main() {
 		for _, id := range strings.Split(*run, ",") {
 			id = strings.ToUpper(strings.TrimSpace(id))
 			if !known[id] {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q (have F4 F7 F8 F9 E1–E7 A1 A2 AB CACHE SNAPSHOT MULTIVIEW PARTITION BATCH CASCADE COMPACT)\n", id)
+				fmt.Fprintf(os.Stderr, "unknown experiment %q (have F4 F7 F8 F9 E1–E7 A1 A2 SNAPSHOT MULTIVIEW PARTITION BATCH CASCADE COMPACT)\n", id)
 				os.Exit(2)
 			}
 			selected[id] = true
@@ -183,17 +164,14 @@ func main() {
 		}
 		c := bench.Counters()
 		rep.Experiments = append(rep.Experiments, experimentResult{
-			ID:             e.id,
-			Desc:           e.desc,
-			OK:             err == nil,
-			Ns:             elapsed.Nanoseconds(),
-			RowsScanned:    c.RowsScanned,
-			RowsJoined:     c.RowsJoined,
-			QueriesRun:     c.QueriesRun,
-			IndexProbes:    c.IndexProbes,
-			CacheHits:      c.CacheHits,
-			CacheMisses:    c.CacheMisses,
-			CacheMaintRows: c.CacheMaintRows,
+			ID:          e.id,
+			Desc:        e.desc,
+			OK:          err == nil,
+			Ns:          elapsed.Nanoseconds(),
+			RowsScanned: c.RowsScanned,
+			RowsJoined:  c.RowsJoined,
+			QueriesRun:  c.QueriesRun,
+			IndexProbes: c.IndexProbes,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s FAILED: %v\n", e.id, err)
@@ -202,8 +180,6 @@ func main() {
 			fmt.Printf("(%s verified in %s)\n\n", e.id, elapsed.Round(time.Millisecond))
 		}
 	}
-	rep.PipelineAB = abEntries
-	rep.CacheAB = cacheEntries
 	rep.SnapshotAB = snapshotEntries
 	rep.MultiViewAB = multiViewEntries
 	rep.PartitionAB = partitionEntries

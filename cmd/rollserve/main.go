@@ -90,7 +90,7 @@ func run(addr, leaderURL, walPath string, syncCommits bool, initScript string) e
 		}
 	}
 
-	srv := &http.Server{Addr: addr, Handler: repl.NewServer(db).Handler()}
+	srv := repl.NewHTTPServer(addr, repl.NewServer(db).Handler())
 	var tailer *repl.Tailer
 	role := "leader"
 	if leaderURL != "" {
@@ -168,7 +168,7 @@ func serveOn(addr string, h http.Handler) (*http.Server, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	srv := &http.Server{Handler: h}
+	srv := repl.NewHTTPServer("", h)
 	go srv.Serve(lis)
 	return srv, lis.Addr().String(), nil
 }

@@ -12,43 +12,25 @@ import (
 	"repro/internal/workload"
 )
 
-// BatchABEntry records one batch-layout comparison for the
-// machine-readable benchmark output. The arms drain the identical
-// star-schema update history with scan propagation: the row layout with
-// container pooling disabled (the pre-columnar executor behavior), the
-// columnar layout still without pooling (isolating the layout itself),
-// and the columnar layout with per-step arenas (the shipping
-// configuration). SpeedupColumnar/SpeedupArena are per-step throughput
-// ratios against the row arm.
+// BatchABEntry records the batch-layer check for the machine-readable
+// benchmark output: the columnar layout with per-step arenas drains a
+// star-schema update history under scan propagation.
 type BatchABEntry struct {
-	Benchmark      string  `json:"benchmark"`
-	FactRows       int     `json:"fact_rows"`
-	Updates        int     `json:"updates"`
-	BatchSize      int     `json:"batch_size"`
-	Reps           int     `json:"reps"`
-	RowNs          int64   `json:"row_ns"`
-	ColumnarNs     int64   `json:"columnar_ns"`
-	ArenaNs        int64   `json:"arena_ns"`
-	RowStepNs      int64   `json:"row_step_ns"`
-	ColumnarStepNs int64   `json:"columnar_step_ns"`
-	ArenaStepNs    int64   `json:"arena_step_ns"`
-	SpeedupCol     float64 `json:"speedup_columnar"`
-	SpeedupArena   float64 `json:"speedup_arena"`
-	Batches        int64   `json:"batches"`
-	RowsPerBatch   float64 `json:"rows_per_batch"`
-	Match          bool    `json:"match"`
+	Benchmark    string  `json:"benchmark"`
+	FactRows     int     `json:"fact_rows"`
+	Updates      int     `json:"updates"`
+	BatchSize    int     `json:"batch_size"`
+	Reps         int     `json:"reps"`
+	ArenaNs      int64   `json:"arena_ns"`
+	ArenaStepNs  int64   `json:"arena_step_ns"`
+	Batches      int64   `json:"batches"`
+	RowsPerBatch float64 `json:"rows_per_batch"`
+	Match        bool    `json:"match"`
 }
 
-// batchArm is one configuration of the batch-layout A/B experiment.
-type batchArm struct {
-	name    string
-	rowMode bool
-	noPool  bool
-}
-
-// batchArmResult is one repetition of one arm: the measured drain plus
-// the deterministic batch counters.
-type batchArmResult struct {
+// batchResult is one repetition: the measured drain plus the
+// deterministic batch counters.
+type batchResult struct {
 	dur     time.Duration
 	steps   int64
 	batches int64
@@ -56,21 +38,11 @@ type batchArmResult struct {
 	match   bool
 }
 
-// runBatchArm builds a fresh environment under the arm's layout and
-// pooling configuration, drains the seeded star-schema history with scan
-// propagation, verifies the view against full recomputation, and returns
-// the measured drain. The layout and pooling switches are process
-// globals, so arms run strictly one at a time and restore the defaults
-// before returning.
-func runBatchArm(arm batchArm, updates, dimRows, factRows int) (batchArmResult, error) {
-	relalg.SetRowLayout(arm.rowMode)
-	exec.DisableBatchPool = arm.noPool
-	defer func() {
-		relalg.SetRowLayout(false)
-		exec.DisableBatchPool = false
-	}()
-
-	var res batchArmResult
+// runBatch builds a fresh environment, drains the seeded star-schema
+// history with scan propagation, verifies the view against full
+// recomputation, and returns the measured drain.
+func runBatch(updates, dimRows, factRows int) (batchResult, error) {
+	var res batchResult
 	w := workload.StarSchema(2, factRows, dimRows, 20)
 	env, err := NewEnvCfg(w, 63, false, engine.Config{})
 	if err != nil {
@@ -119,89 +91,57 @@ func runBatchArm(arm batchArm, updates, dimRows, factRows int) (batchArmResult, 
 	return res, nil
 }
 
-// BatchAB measures what the columnar batch layout and the per-step arena
-// buy rolling propagation on a star schema under scan propagation, where
-// every step streams base heaps through filter and hash-join kernels.
-// The row arm replays the pre-columnar executor: every batch is a []Row,
-// every join probe materializes tuples, and pooling is off so each step
-// allocates its working set afresh. The columnar arm flips only the
-// layout — typed column vectors, selection-vector filters, tuple-free
-// probe hashing — and the arena arm adds container recycling on top, the
-// shipping configuration. Every arm drains the identical update history
-// and is verified against a full recomputation; each repeats a few times
-// and reports the fastest repetition (the per-seed work is deterministic,
-// so the minimum rejects scheduler and GC noise).
+// BatchAB drains a star-schema update history through rolling
+// propagation under scan propagation, where every step streams base heaps
+// through the columnar filter and hash-join kernels with per-step arena
+// recycling, and verifies the view against a full recomputation. It
+// repeats a few times and reports the fastest repetition (the per-seed
+// work is deterministic, so the minimum rejects scheduler and GC noise).
 func BatchAB(s Scale) (*metrics.Table, []BatchABEntry, error) {
 	updates := s.pick(200, 1600)
 	dimRows := 150
 	factRows := s.pick(2000, 8000)
 	const reps = 2
 	t := metrics.NewTable(
-		fmt.Sprintf("BATCH — row layout vs columnar vs columnar+arena, scan propagation (star: fact %d rows, 2 dims x %d, %d updates, best of %d)",
+		fmt.Sprintf("BATCH — columnar+arena scan propagation (star: fact %d rows, 2 dims x %d, %d updates, best of %d)",
 			factRows, dimRows, updates, reps),
 		"arm", "drain", "ns/step", "steps", "batches", "rows/batch", "match")
 
-	arms := []batchArm{
-		{"row, no pool", true, true},
-		{"columnar, no pool", false, true},
-		{"columnar + arena", false, false},
-	}
-
-	var entries []BatchABEntry
-	var best [3]batchArmResult
-	var stepNs [3]int64
+	var best batchResult
 	match := true
-	for mode, arm := range arms {
-		armMatch := true
-		for rep := 0; rep < reps; rep++ {
-			res, err := runBatchArm(arm, updates, dimRows, factRows)
-			if err != nil {
-				return t, entries, err
-			}
-			if !res.match {
-				armMatch = false
-				match = false
-			}
-			if rep == 0 || res.dur < best[mode].dur {
-				best[mode] = res
-			}
+	for rep := 0; rep < reps; rep++ {
+		res, err := runBatch(updates, dimRows, factRows)
+		if err != nil {
+			return t, nil, err
 		}
-		if best[mode].steps > 0 {
-			stepNs[mode] = best[mode].dur.Nanoseconds() / best[mode].steps
+		match = match && res.match
+		if rep == 0 || res.dur < best.dur {
+			best = res
 		}
-		b := best[mode]
-		var rpb float64
-		if b.batches > 0 {
-			rpb = float64(b.rows) / float64(b.batches)
-		}
-		t.AddRow(arm.name, b.dur, stepNs[mode], b.steps, b.batches, fmt.Sprintf("%.1f", rpb), pass(armMatch))
 	}
-	speedupCol := float64(stepNs[0]) / float64(stepNs[1])
-	speedupArena := float64(stepNs[0]) / float64(stepNs[2])
+	var stepNs int64
+	if best.steps > 0 {
+		stepNs = best.dur.Nanoseconds() / best.steps
+	}
 	var rpb float64
-	if best[2].batches > 0 {
-		rpb = float64(best[2].rows) / float64(best[2].batches)
+	if best.batches > 0 {
+		rpb = float64(best.rows) / float64(best.batches)
 	}
-	entries = append(entries, BatchABEntry{
-		Benchmark:      "rolling propagation, star schema, scan propagation",
-		FactRows:       factRows,
-		Updates:        updates,
-		BatchSize:      exec.DefaultBatchSize,
-		Reps:           reps,
-		RowNs:          best[0].dur.Nanoseconds(),
-		ColumnarNs:     best[1].dur.Nanoseconds(),
-		ArenaNs:        best[2].dur.Nanoseconds(),
-		RowStepNs:      stepNs[0],
-		ColumnarStepNs: stepNs[1],
-		ArenaStepNs:    stepNs[2],
-		SpeedupCol:     speedupCol,
-		SpeedupArena:   speedupArena,
-		Batches:        best[2].batches,
-		RowsPerBatch:   rpb,
-		Match:          match,
-	})
+	t.AddRow("columnar + arena", best.dur, stepNs, best.steps, best.batches, fmt.Sprintf("%.1f", rpb), pass(match))
+	entries := []BatchABEntry{{
+		Benchmark:    "rolling propagation, star schema, scan propagation",
+		FactRows:     factRows,
+		Updates:      updates,
+		BatchSize:    exec.DefaultBatchSize,
+		Reps:         reps,
+		ArenaNs:      best.dur.Nanoseconds(),
+		ArenaStepNs:  stepNs,
+		Batches:      best.batches,
+		RowsPerBatch: rpb,
+		Match:        match,
+	}}
 	if !match {
-		return t, entries, fmt.Errorf("batch AB: an arm diverged from full recomputation")
+		return t, entries, fmt.Errorf("batch: columnar+arena propagation diverged from full recomputation")
 	}
 	return t, entries, nil
 }

@@ -48,11 +48,6 @@ func accumulate(s engine.Stats) {
 	counters.RowsInserted += s.RowsInserted
 	counters.RowsDeleted += s.RowsDeleted
 	counters.IndexProbes += s.IndexProbes
-	counters.CacheHits += s.CacheHits
-	counters.CacheMisses += s.CacheMisses
-	counters.CacheMaintRows += s.CacheMaintRows
-	counters.CacheBuilds += s.CacheBuilds
-	counters.CacheInvalidations += s.CacheInvalidations
 	countersMu.Unlock()
 }
 

@@ -136,9 +136,8 @@ func runPartArm(arm partArm, updates, dimRows, factRows int, skew float64) (part
 // the partitioning layer's work reduction is direct: a sliced step's
 // co-partitioned base scans read one shard instead of the whole heap,
 // slices whose delta window is empty are skipped outright — under skew,
-// most light partitions are — and a heavy-key slice reads its base
-// positions from the materialized heavy cache partition instead of
-// scanning at all. Every arm drains the identical update history (victim
+// most light partitions are — and each heavy key gets its own slice,
+// which scans only the one shard its key hashes into. Every arm drains the identical update history (victim
 // selection in DeleteWhere is partition-count-independent) and is
 // verified against a full recomputation. Each arm repeats a few times and
 // reports the fastest repetition: the per-seed work is deterministic, so

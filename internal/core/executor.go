@@ -207,27 +207,16 @@ func (e *Executor) windowEmpty(i int, lo, hi relalg.CSN) bool {
 // result to the view delta, and returns the query's execution time t_e.
 // The query reads every base position through the read view at asOf, so
 // t_e == asOf by construction: executed time equals intended time, and
-// compensation never has to chase an uncontrolled commit CSN. (The join
-// cache pins its state at exactly asOf, or the engine falls back to the
-// versioned heap; either way t_e is asOf.)
+// compensation never has to chase an uncontrolled commit CSN.
 func (e *Executor) execute(q *PropQuery, kind QueryKind, depth int, asOf relalg.CSN) (relalg.CSN, error) {
 	if err := e.src.WaitProgress(q.MaxDeltaHi()); err != nil {
 		return 0, err
 	}
 	start := time.Now()
-	var (
-		csn           relalg.CSN
-		rows, batches int
-		err           error
-	)
 	eq := q.EngineQuery()
 	eq.AsOf = asOf
 	eq.LockScans = e.LockScans
-	if (e.db.JoinCacheEnabled() || e.db.HeavySliceCached(eq)) && engine.CacheEligible(e.db, eq) {
-		csn, rows, batches, err = e.db.ExecutePropagationCached(eq, q.Sign, e.dest, q.MaxDeltaHi(), e.src.WaitProgress)
-	} else {
-		csn, rows, batches, err = e.db.ExecutePropagation(eq, q.Sign, e.dest)
-	}
+	csn, rows, batches, err := e.db.ExecutePropagation(eq, q.Sign, e.dest)
 	if err != nil {
 		return 0, err
 	}

@@ -215,6 +215,45 @@ func (e *testEnv) delete(table string, k int64) relalg.CSN {
 	return csn
 }
 
+// bulk commits one transaction that inserts n rows of key k into table
+// (n > 0) or deletes -n of them (n < 0), and records the oracle state.
+func (e *testEnv) bulk(table string, k int64, n int) relalg.CSN {
+	e.t.Helper()
+	tx := e.db.Begin()
+	done := int64(0)
+	if n > 0 {
+		for i := 0; i < n; i++ {
+			if err := tx.Insert(table, tupleFor(k)); err != nil {
+				tx.Abort()
+				e.t.Fatal(err)
+			}
+		}
+		done = int64(n)
+	} else {
+		deleted, err := tx.DeleteWhere(table, relalg.ColConst{Col: 0, Op: relalg.OpEQ, Val: tuple.Int(k)}, -n)
+		if err != nil {
+			tx.Abort()
+			e.t.Fatal(err)
+		}
+		done = -int64(deleted)
+	}
+	csn, err := tx.Commit()
+	if err != nil {
+		e.t.Fatal(err)
+	}
+	e.mu.Lock()
+	i := e.relIndex(table)
+	s := e.shadows[i].Clone()
+	s.Add(tupleFor(k), done, relalg.NullTS)
+	e.shadows[i] = relalg.NetEffect(s)
+	e.states[csn] = e.evalShadowView()
+	if csn > e.lastCSN {
+		e.lastCSN = csn
+	}
+	e.mu.Unlock()
+	return csn
+}
+
 // multiOpTxn commits one transaction performing several operations across
 // the view's tables and records the oracle state at its commit CSN. All of
 // a transaction's changes share one timestamp, exercising same-CSN

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -19,49 +20,109 @@ var partitionCounts = []int{1, 4, 7}
 // TestPartitionedConcurrentWritersOracle is the concurrent-writers oracle
 // extended across partition counts: rolling propagation with slice fan-out
 // races a writer goroutine, then the rolled range is checked against the
-// timed-delta oracle. The small key domain promotes hot keys to heavy
-// slices mid-run, so the classifier and key migration are exercised too.
+// timed-delta oracle. A warm-up burst on one key makes the classifier
+// promote it, so heavy-key slices run too and read their base positions
+// by shard scan.
 func TestPartitionedConcurrentWritersOracle(t *testing.T) {
 	for _, parts := range partitionCounts {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("parts=%d/workers=%d", parts, workers), func(t *testing.T) {
-				r := rand.New(rand.NewSource(int64(parts*10 + workers)))
-				env := newEnvCfg(t, starView(fmt.Sprintf("vp%d_%d", parts, workers), 2),
-					engine.Config{Partitions: parts})
-				env.exec.SetWorkers(workers)
-				rp := NewRollingPropagator(env.exec, 0, PerRelationIntervals(2, 5, 5))
-
-				done := make(chan relalg.CSN)
-				go func() {
-					var last relalg.CSN
-					for i := 0; i < 80; i++ {
-						table := env.view.Relations[r.Intn(env.view.N())]
-						k := int64(r.Intn(4))
-						if r.Intn(3) == 0 {
-							last = env.delete(table, k)
-						} else {
-							last = env.insert(table, k)
-						}
-					}
-					done <- last
-				}()
-
-				var last relalg.CSN
-				writerDone := false
-				for !writerDone || rp.HWM() < last {
-					select {
-					case last = <-done:
-						writerDone = true
-					default:
-					}
-					if err := rp.Step(); err != nil && err != ErrNoProgress {
-						t.Fatal(err)
-					}
+				env, heavySlices := runPartitionedWriters(t, parts, workers, false)
+				if parts > 1 && (env.db.Stats().HeavyKeys == 0 || heavySlices == 0) {
+					t.Fatalf("heavy keys %d, heavy-key slice queries %d; want both > 0",
+						env.db.Stats().HeavyKeys, heavySlices)
 				}
-				env.checkTimedDelta(0, rp.HWM())
 			})
 		}
 	}
+}
+
+// TestPartitionedConcurrentWritersOracleIndexed is the same oracle with a
+// hash index on every relation's join column k, so base positions are read
+// by index probes: heavy-key slices run through IndexLoopJoin with a sliced
+// PartSpec on their delta position. The run must classify heavy keys,
+// execute heavy slices, and probe the indexes, so the check cannot pass
+// without exercising that path.
+func TestPartitionedConcurrentWritersOracleIndexed(t *testing.T) {
+	for _, parts := range []int{4, 7} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("parts=%d/workers=%d", parts, workers), func(t *testing.T) {
+				env, heavySlices := runPartitionedWriters(t, parts, workers, true)
+				st := env.db.Stats()
+				if st.HeavyKeys == 0 {
+					t.Fatal("no key was classified heavy")
+				}
+				if heavySlices == 0 {
+					t.Fatal("no heavy-key slice query ran")
+				}
+				if st.IndexProbes == 0 {
+					t.Fatal("no index probe ran")
+				}
+			})
+		}
+	}
+}
+
+// runPartitionedWriters races a writer goroutine against rolling
+// propagation with slice fan-out over a 2-dimension star view, checks the
+// rolled range against the timed-delta oracle, and returns the
+// environment plus the number of heavy-key slice queries executed. Before
+// the race, each table takes one transaction inserting 16 rows of key 0
+// and one deleting them again: enough traffic for the classifier to
+// promote key 0 in every table, while the view state stays small.
+func runPartitionedWriters(t *testing.T, parts, workers int, indexed bool) (*testEnv, int) {
+	r := rand.New(rand.NewSource(int64(parts*10 + workers)))
+	env := newEnvCfg(t, starView(fmt.Sprintf("vp%d_%d", parts, workers), 2),
+		engine.Config{Partitions: parts})
+	if indexed {
+		for _, name := range env.view.Relations {
+			if _, err := env.db.CreateIndex(name, "k"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	heavySlices := 0
+	env.exec.OnQuery = func(e TraceEntry) {
+		if strings.Contains(e.Query, "[heavy/") {
+			heavySlices++
+		}
+	}
+	for _, name := range env.view.Relations {
+		env.bulk(name, 0, 16)
+		env.bulk(name, 0, -16)
+	}
+	env.exec.SetWorkers(workers)
+	rp := NewRollingPropagator(env.exec, 0, PerRelationIntervals(2, 5, 5))
+
+	done := make(chan relalg.CSN)
+	go func() {
+		var last relalg.CSN
+		for i := 0; i < 80; i++ {
+			table := env.view.Relations[r.Intn(env.view.N())]
+			k := int64(r.Intn(4))
+			if r.Intn(3) == 0 {
+				last = env.delete(table, k)
+			} else {
+				last = env.insert(table, k)
+			}
+		}
+		done <- last
+	}()
+
+	var last relalg.CSN
+	writerDone := false
+	for !writerDone || rp.HWM() < last {
+		select {
+		case last = <-done:
+			writerDone = true
+		default:
+		}
+		if err := rp.Step(); err != nil && err != ErrNoProgress {
+			t.Fatal(err)
+		}
+	}
+	env.checkTimedDelta(0, rp.HWM())
+	return env, heavySlices
 }
 
 // TestPartitionedTimedDeltaQuickCheck runs randomized multi-op update

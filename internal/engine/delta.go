@@ -21,9 +21,8 @@ import (
 // Partitions = N > 1, a change record lives in shard
 // hashPart(row[partCol], N). The sequence counter stays global, so keys
 // remain unique across shards and a merged iteration reproduces exactly
-// the single-tree (timestamp, sequence) order; WindowPart exposes the
-// per-partition delta cursor that partitioned propagation and cache
-// maintenance consume.
+// the single-tree (timestamp, sequence) order, and a partition-sliced
+// scan reads only its own shard.
 type DeltaTable struct {
 	base   string
 	schema *tuple.Schema
@@ -233,52 +232,18 @@ func (d *DeltaTable) ascendMerged(start, end []byte, fn func(k, v []byte) bool) 
 // order. The caller is responsible for ensuring the window is closed (the
 // capture process has progressed past hi) so the result is immutable.
 func (d *DeltaTable) Window(lo, hi relalg.CSN) *relalg.Relation {
-	return d.WindowSpec(nil, lo, hi)
-}
-
-// WindowPart materializes the slice of σ_{lo,hi} that falls in hash
-// partition p: the per-partition delta cursor.
-func (d *DeltaTable) WindowPart(p int, lo, hi relalg.CSN) *relalg.Relation {
-	out := relalg.NewRelation(d.schema)
-	if hi <= lo || p < 0 || p >= len(d.shards) {
-		return out
-	}
-	d.latch.RLock()
-	defer d.latch.RUnlock()
-	d.shards[p].Ascend(deltaKey(lo+1, 0), deltaKey(hi+1, 0), func(k, v []byte) bool {
-		ts := relalg.CSN(binary.BigEndian.Uint64(k[0:8]))
-		count, row := decodeDeltaVal(v)
-		out.Add(row, count, ts)
-		return true
-	})
-	return out
-}
-
-// WindowSpec materializes the slice of σ_{lo,hi} selected by spec (nil =
-// the full window).
-func (d *DeltaTable) WindowSpec(spec *PartSpec, lo, hi relalg.CSN) *relalg.Relation {
 	out := relalg.NewRelation(d.schema)
 	if hi <= lo {
 		return out
 	}
 	d.latch.RLock()
 	defer d.latch.RUnlock()
-	start := deltaKey(lo+1, 0)
-	end := deltaKey(hi+1, 0)
-	add := func(k, v []byte) bool {
+	d.ascendMerged(deltaKey(lo+1, 0), deltaKey(hi+1, 0), func(k, v []byte) bool {
 		ts := relalg.CSN(binary.BigEndian.Uint64(k[0:8]))
 		count, row := decodeDeltaVal(v)
-		if spec.sliced() && !spec.admits(row[d.partCol], spec.N == d.nparts) {
-			return true
-		}
 		out.Add(row, count, ts)
 		return true
-	}
-	if spec.sliced() && spec.N == d.nparts {
-		d.shards[spec.shard()].Ascend(start, end, add)
-	} else {
-		d.ascendMerged(start, end, add)
-	}
+	})
 	return out
 }
 
@@ -378,8 +343,7 @@ func (d *DeltaTable) PruneThrough(hi relalg.CSN) int {
 }
 
 // PrunedThrough returns the highest timestamp bound ever passed to
-// PruneThrough: windows starting below it may be missing rows. The join-state
-// cache checks it before folding a maintenance window into a cached index.
+// PruneThrough: windows starting below it may be missing rows.
 func (d *DeltaTable) PrunedThrough() relalg.CSN {
 	d.latch.RLock()
 	defer d.latch.RUnlock()

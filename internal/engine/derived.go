@@ -249,8 +249,8 @@ func (dv *Derived) netAt(t relalg.CSN) (map[string]int64, error) {
 }
 
 // ScanAsOf materializes the derived state at time t as a relation (rows
-// carry their net counts and null timestamps, like a base-table scan), for
-// the materializing fallback executor. asOf == NullTS reads the HWM state.
+// carry their net counts and null timestamps, like a base-table scan).
+// asOf == NullTS reads the HWM state.
 func (dv *Derived) ScanAsOf(asOf relalg.CSN, pred relalg.Predicate) (*relalg.Relation, error) {
 	net, err := dv.netAt(asOf)
 	if err != nil {

@@ -59,7 +59,7 @@ type Config struct {
 	SyncOnCommit bool
 	// Partitions hash-partitions every base table's version store and
 	// delta table by join-key (column 0) hash into N partitions, enabling
-	// per-partition propagation slices and sharded join-state caches.
+	// per-partition propagation slices.
 	// 0 defers to the ROLLINGJOIN_PARTITIONS environment variable (the
 	// test hook for running the whole suite partitioned), then defaults
 	// to 1 — the unpartitioned seed behavior, byte for byte.
@@ -106,15 +106,6 @@ type DB struct {
 
 	cfg Config
 
-	// forceMaterialize routes EvalQuery through the materializing fallback
-	// instead of the operator pipeline (A/B benching and equivalence tests).
-	forceMaterialize atomic.Bool
-
-	// joinCache enables the resident join-state cache for propagation
-	// queries (ExecutePropagationCached); cache is its registry.
-	joinCache atomic.Bool
-	cache     *JoinCache
-
 	// ReadView registry (readview.go): open snapshots pin the version-GC
 	// horizon; gcHorizon is the CSN through which dead versions have been
 	// collected.
@@ -130,15 +121,6 @@ type DB struct {
 	rowsInserted atomic.Int64
 	rowsDeleted  atomic.Int64
 	indexProbes  atomic.Int64
-
-	// Join-state cache counters (see cache.go).
-	cacheHits          atomic.Int64
-	cacheMisses        atomic.Int64
-	cacheMaintRows     atomic.Int64
-	cacheBuilds        atomic.Int64
-	cacheInvalidations atomic.Int64
-	cacheResidentRows  atomic.Int64
-	cacheResidentBytes atomic.Int64
 
 	// Snapshot counters (see readview.go).
 	snapshotsOpened atomic.Int64
@@ -164,12 +146,10 @@ type DB struct {
 
 	// Per-partition counters (partition.go / heavy.go): rows scanned by
 	// sliced scans, delta rows routed to each partition, per-partition
-	// propagation slice jobs, cache fold rows per partition, and
-	// heavy/light migrations.
+	// propagation slice jobs, and heavy/light migrations.
 	partScanned   []atomic.Int64
 	partDeltaRows []atomic.Int64
 	partSliceJobs []atomic.Int64
-	partCacheRows []atomic.Int64
 	keyMigrations atomic.Int64
 
 	// schedStats, when set, reports the maintenance scheduler's counters
@@ -186,34 +166,6 @@ type DB struct {
 	// replStats, when set, reports the replication layer's counters (the
 	// tailer lives above the engine, like the scheduler).
 	replStats atomic.Pointer[func() ReplStats]
-}
-
-// DefaultForceMaterialize seeds every newly opened DB's force-materialize
-// flag, letting a whole experiment be flipped onto the fallback executor
-// without threading the knob through construction sites.
-var DefaultForceMaterialize = false
-
-// DefaultJoinCache seeds every newly opened DB's join-cache flag, the same
-// way DefaultForceMaterialize seeds the executor fallback. Off by default:
-// the uncached path is the seed behavior and stays available for A/B runs.
-var DefaultJoinCache = false
-
-// SetForceMaterialize toggles between the streaming operator pipeline
-// (false, the default) and the materializing fallback executor (true) for
-// subsequent EvalQuery/StreamQuery calls.
-func (db *DB) SetForceMaterialize(v bool) { db.forceMaterialize.Store(v) }
-
-// SetJoinCache toggles the resident join-state cache for propagation
-// queries. When enabled, eligible queries (base ⋈ delta with capture-backed
-// bases) read base tables from incrementally maintained hash indexes
-// instead of scanning the heaps under table locks.
-func (db *DB) SetJoinCache(v bool) { db.joinCache.Store(v) }
-
-// JoinCacheEnabled reports whether the join-state cache should be used for
-// propagation queries. Force-materialize wins: the materializing fallback
-// is the A/B baseline and must not be silently accelerated.
-func (db *DB) JoinCacheEnabled() bool {
-	return db.joinCache.Load() && !db.forceMaterialize.Load()
 }
 
 // Open creates a database instance, recovering the log end if the device
@@ -262,12 +214,8 @@ func Open(cfg Config) (*DB, error) {
 		partScanned:   make([]atomic.Int64, nparts),
 		partDeltaRows: make([]atomic.Int64, nparts),
 		partSliceJobs: make([]atomic.Int64, nparts),
-		partCacheRows: make([]atomic.Int64, nparts),
 		replica:       cfg.Replica,
 	}
-	db.forceMaterialize.Store(DefaultForceMaterialize)
-	db.joinCache.Store(DefaultJoinCache)
-	db.cache = newJoinCache(db)
 	db.horizons = &HorizonLedger{db: db, pins: make(map[string]relalg.CSN)}
 	return db, nil
 }
@@ -344,7 +292,7 @@ func (db *DB) CreateDelta(base string) (*DeltaTable, error) {
 	if bt.nparts > 1 {
 		var sk *keySketch
 		if db.heavySplit {
-			sk = newKeySketch(db, base)
+			sk = newKeySketch(db)
 			db.sketches[base] = sk
 		}
 		d.onAppend = func(part int, key tuple.Value) {
@@ -425,15 +373,10 @@ type Stats struct {
 	RowsDeleted  int64
 	IndexProbes  int64
 
-	// Join-state cache counters: probe hits/misses against cached indexes,
-	// delta rows folded during maintenance, full (re)builds, explicit
-	// invalidations, and the resident footprint (rows and approximate bytes).
+	// Retired join-state cache counters, always 0: no cache exists. The
+	// fields stay because external readers of Stats still reference them.
 	CacheHits          int64
 	CacheMisses        int64
-	CacheMaintRows     int64
-	CacheBuilds        int64
-	CacheInvalidations int64
-	CacheResidentRows  int64
 	CacheResidentBytes int64
 
 	// ReadView counters: snapshots opened, publish-barrier stalls (waits
@@ -449,16 +392,14 @@ type Stats struct {
 	// count; the per-partition slices have that length (all zeros at
 	// Partitions == 1). PartRowsScanned counts rows read by
 	// partition-sliced scans, PartDeltaRows the change records routed to
-	// each partition, PartSliceJobs the per-partition propagation slice
-	// jobs executed, and PartCacheRows the delta rows folded into each
-	// cache shard. HeavyKeys is the number of join keys currently
+	// each partition, and PartSliceJobs the per-partition propagation
+	// slice jobs executed. HeavyKeys is the number of join keys currently
 	// classified heavy across all tables; KeyMigrations counts completed
 	// heavy<->light migrations.
 	Partitions      int
 	PartRowsScanned []int64
 	PartDeltaRows   []int64
 	PartSliceJobs   []int64
-	PartCacheRows   []int64
 	HeavyKeys       int64
 	KeyMigrations   int64
 
@@ -571,7 +512,6 @@ func (db *DB) Stats() Stats {
 		PartRowsScanned:    snap(db.partScanned),
 		PartDeltaRows:      snap(db.partDeltaRows),
 		PartSliceJobs:      snap(db.partSliceJobs),
-		PartCacheRows:      snap(db.partCacheRows),
 		HeavyKeys:          heavy,
 		KeyMigrations:      db.keyMigrations.Load(),
 		Sched:              ss,
@@ -582,13 +522,6 @@ func (db *DB) Stats() Stats {
 		RowsInserted:       db.rowsInserted.Load(),
 		RowsDeleted:        db.rowsDeleted.Load(),
 		IndexProbes:        db.indexProbes.Load(),
-		CacheHits:          db.cacheHits.Load(),
-		CacheMisses:        db.cacheMisses.Load(),
-		CacheMaintRows:     db.cacheMaintRows.Load(),
-		CacheBuilds:        db.cacheBuilds.Load(),
-		CacheInvalidations: db.cacheInvalidations.Load(),
-		CacheResidentRows:  db.cacheResidentRows.Load(),
-		CacheResidentBytes: db.cacheResidentBytes.Load(),
 		BatchesProduced:    db.batchesProduced.Load(),
 		BatchRows:          db.batchRows.Load(),
 		FilterRowsIn:       db.filterRowsIn.Load(),

@@ -12,19 +12,18 @@ import (
 // a per-table frequency sketch counts how often each join key appears in
 // the table's change stream. Keys whose frequency crosses the heavy
 // threshold are classified heavy and get their own dedicated propagation
-// slices and materialized cache partitions, so one hot key cannot
-// overload the hash partition it happens to land in; everything else
-// rides the generic hash path. Counts decay geometrically, so keys
+// slices, so one hot key cannot overload the hash partition it happens to
+// land in; everything else rides the generic hash path. Both kinds of
+// slice read their base positions the same way, from the versioned heaps
+// by index probe or shard scan. Counts decay geometrically, so keys
 // migrate back to light as frequencies drift.
 //
-// The classifier and every structure it feeds (slice plans, cache
-// shards) are volatile: physical delta and heap routing is purely
-// hash-based, so a migration never rewrites durable state. That makes
-// migration crash-safe by construction — after a crash the sketch
-// restarts empty and resident state is rebuilt from the heaps and delta
-// tables — but each migration still evaluates the "migrate" failpoint so
-// the crash suite can kill the process mid-migration and check the
-// invariant.
+// The classifier and the slice plans it feeds are volatile: physical
+// delta and heap routing is purely hash-based, so a migration never
+// rewrites durable state. That makes migration crash-safe by construction
+// — after a crash the sketch restarts empty — but each migration still
+// evaluates the "migrate" failpoint so the crash suite can kill the
+// process mid-migration and check the invariant.
 const (
 	// sketchDecayEvery halves all counts after this many observations,
 	// bounding the sketch and letting frequencies drift.
@@ -43,8 +42,7 @@ const (
 // keySketch is the per-table frequency sketch plus the current heavy-key
 // classification.
 type keySketch struct {
-	db    *DB
-	table string
+	db *DB
 
 	mu         sync.Mutex
 	counts     map[string]int64
@@ -53,10 +51,9 @@ type keySketch struct {
 	heavy      map[string]bool
 }
 
-func newKeySketch(db *DB, table string) *keySketch {
+func newKeySketch(db *DB) *keySketch {
 	return &keySketch{
 		db:     db,
-		table:  table,
 		counts: make(map[string]int64),
 		heavy:  make(map[string]bool),
 	}
@@ -77,11 +74,11 @@ func (s *keySketch) note(enc []byte) {
 	}
 	c := s.counts[key]
 	if !s.heavy[key] && c >= heavyMinCount && c*heavyPromoteDen >= s.total {
-		if s.db.migrateKey(s.table, key, true) == nil {
+		if s.db.migrateKey() == nil {
 			s.heavy[key] = true
 		}
 	} else if s.heavy[key] && c*heavyDemoteDen < s.total {
-		if s.db.migrateKey(s.table, key, false) == nil {
+		if s.db.migrateKey() == nil {
 			delete(s.heavy, key)
 		}
 	}
@@ -104,7 +101,7 @@ func (s *keySketch) decayLocked() {
 	s.total = total
 	for k := range s.heavy {
 		if s.counts[k]*heavyDemoteDen < s.total {
-			if s.db.migrateKey(s.table, k, false) == nil {
+			if s.db.migrateKey() == nil {
 				delete(s.heavy, k)
 			}
 		}
@@ -139,40 +136,20 @@ func (s *keySketch) heavyCount() int {
 }
 
 // migrateKey moves one join key of a table between the light (generic
-// hash) and heavy (dedicated partition) classes. The move itself touches
-// only volatile state: the classifier entry and any resident join-state
-// cache buckets for the table. It evaluates the "migrate" failpoint
-// first; an injected error aborts the migration (the caller keeps the old
-// classification), and an injected crash exercises recovery with a
-// half-finished migration — safe because nothing durable was touched.
-func (db *DB) migrateKey(table, enc string, toHeavy bool) error {
+// hash) and heavy (dedicated slice) classes. The caller updates the
+// classifier entry, the only state a migration touches. It evaluates the
+// "migrate" failpoint first; an injected error aborts the migration (the
+// caller keeps the old classification), and an injected crash exercises
+// recovery with a half-finished migration — safe because nothing durable
+// was touched.
+func (db *DB) migrateKey() error {
 	if fault.Enabled() {
 		if err := fault.Inject(fault.PointMigrate); err != nil {
 			return err
 		}
 	}
-	db.cache.migrateKey(table, enc, toHeavy)
 	db.keyMigrations.Add(1)
 	return nil
-}
-
-// HeavySliceCached reports whether q should route through the join-state
-// cache even when the global cache switch is off: a heavy-key slice reads
-// its base positions from materialized partial state — the dedicated
-// heavy partitions of the resident cache — while light slices ride the
-// generic hash path (scans, or indexes where declared). This is the
-// payoff of classifying a key heavy: its propagation cost becomes
-// proportional to its delta, not to the shard it hashes into.
-func (db *DB) HeavySliceCached(q *Query) bool {
-	if !db.heavySplit || db.forceMaterialize.Load() {
-		return false
-	}
-	for _, in := range q.Inputs {
-		if in.Part != nil && len(in.Part.Key) > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // HeavyKeys returns the key-encoded heavy join keys currently classified

@@ -111,11 +111,11 @@ func identicalRelations(t *testing.T, label string, got, want *relalg.Relation) 
 	}
 	g, w := canon(got), canon(want)
 	if len(g) != len(w) {
-		t.Fatalf("%s: row count %d != %d\npipeline: %s\nmaterialize: %s", label, len(g), len(w), got, want)
+		t.Fatalf("%s: row count %d != %d\ngot: %s\nwant: %s", label, len(g), len(w), got, want)
 	}
 	for i := range g {
 		if !g[i].Tuple.Equal(w[i].Tuple) || g[i].Count != w[i].Count || g[i].TS != w[i].TS {
-			t.Fatalf("%s: row %d: pipeline %v != materialize %v", label, i, g[i], w[i])
+			t.Fatalf("%s: row %d: got %v, want %v", label, i, g[i], w[i])
 		}
 	}
 	if got.Schema.Arity() != want.Schema.Arity() {
@@ -123,10 +123,92 @@ func identicalRelations(t *testing.T, label string, got, want *relalg.Relation) 
 	}
 }
 
-// TestEvalQueryMatchesMaterializeExec quick-checks the planner: every
-// operator-tree plan must produce exactly the rows of the old materializing
-// executor, across randomized queries, with and without an index available.
-func TestEvalQueryMatchesMaterializeExec(t *testing.T) {
+// nestedLoopEval is the planner oracle: it materializes every input of q,
+// enumerates the full cross product in declaration order, and keeps the
+// combinations that satisfy every join condition and the residual. Counts
+// multiply and timestamps combine by minimum (the paper's combination
+// rule). It shares no code with the planner beyond the storage readers.
+func nestedLoopEval(t *testing.T, db *DB, q *Query) *relalg.Relation {
+	t.Helper()
+	inputs := make([][]relalg.Row, len(q.Inputs))
+	offsets := make([]int, len(q.Inputs))
+	var schema *tuple.Schema
+	for i, in := range q.Inputs {
+		var rel *relalg.Relation
+		switch in.Kind {
+		case InputDelta:
+			d, err := db.Delta(in.Table)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rel = d.Window(in.Lo, in.Hi)
+		case InputBase:
+			tb, err := db.Table(in.Table)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rel = tb.scan(nil)
+		default:
+			t.Fatalf("oracle: unsupported input kind %d", in.Kind)
+		}
+		if in.Pred != nil {
+			rel = relalg.Select(rel, in.Pred)
+		}
+		inputs[i] = rel.Rows
+		if schema == nil {
+			schema = rel.Schema
+		} else {
+			offsets[i] = schema.Arity()
+			schema = tuple.ConcatSchemas(schema, rel.Schema, "r_")
+		}
+	}
+	col := func(ref ColRef) int { return offsets[ref.Input] + ref.Col }
+	out := relalg.NewRelation(schema)
+	if q.Project != nil {
+		idx := make([]int, len(q.Project))
+		for j, ref := range q.Project {
+			idx[j] = col(ref)
+		}
+		out = relalg.NewRelation(schema.Project(idx, nil))
+	}
+	var walk func(i int, acc relalg.Row)
+	walk = func(i int, acc relalg.Row) {
+		if i < len(inputs) {
+			for _, r := range inputs[i] {
+				walk(i+1, relalg.Row{
+					Tuple: tuple.Concat(acc.Tuple, r.Tuple),
+					Count: acc.Count * r.Count,
+					TS:    relalg.MinTS(acc.TS, r.TS),
+				})
+			}
+			return
+		}
+		for _, c := range q.Conds {
+			if !tuple.Equal(acc.Tuple[col(c.A)], acc.Tuple[col(c.B)]) {
+				return
+			}
+		}
+		if q.Residual != nil && !q.Residual.Eval(acc.Tuple) {
+			return
+		}
+		if q.Project != nil {
+			proj := make(tuple.Tuple, len(q.Project))
+			for j, ref := range q.Project {
+				proj[j] = acc.Tuple[col(ref)]
+			}
+			acc.Tuple = proj
+		}
+		out.Rows = append(out.Rows, acc)
+	}
+	walk(0, relalg.Row{Count: 1, TS: relalg.NullTS})
+	return out
+}
+
+// TestEvalQueryMatchesNestedLoop quick-checks the planner: every
+// operator-tree plan must produce exactly the rows of a nested-loop
+// evaluation of the same query, across randomized queries, with and
+// without an index available.
+func TestEvalQueryMatchesNestedLoop(t *testing.T) {
 	for _, withIndex := range []bool{false, true} {
 		r := rand.New(rand.NewSource(7))
 		db := pipelineDB(t, r, withIndex)
@@ -142,15 +224,7 @@ func TestEvalQueryMatchesMaterializeExec(t *testing.T) {
 			}
 			tx.Commit()
 
-			tx = db.Begin()
-			want, err := tx.MaterializeExec(q)
-			if err != nil {
-				tx.Abort()
-				t.Fatalf("%s: MaterializeExec: %v", label, err)
-			}
-			tx.Commit()
-
-			identicalRelations(t, label, got, want)
+			identicalRelations(t, label, got, nestedLoopEval(t, db, q))
 		}
 	}
 }
@@ -188,45 +262,5 @@ func TestIndexProbeVsHashJoinAgreement(t *testing.T) {
 	}
 	if hashedStats.IndexProbes != 0 {
 		t.Fatal("unindexed plan reported index probes")
-	}
-}
-
-// TestForceMaterializeKnob verifies the A/B switch routes through the
-// fallback executor (visible through the scanned-rows accounting: the
-// fallback materializes the delta window even when it is empty, while the
-// pipeline short-circuits the probe side for an empty build).
-func TestForceMaterializeKnob(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	db := pipelineDB(t, r, false)
-	q := &Query{
-		Inputs: []Input{
-			{Kind: InputDelta, Table: "t3", Lo: 100, Hi: 100}, // empty window
-			{Kind: InputBase, Table: "t1"},
-		},
-		Conds: []JoinCond{{A: ColRef{Input: 0, Col: 0}, B: ColRef{Input: 1, Col: 0}}},
-	}
-	runOnce := func() int64 {
-		before := db.Stats().RowsScanned
-		tx := db.Begin()
-		rel, err := tx.EvalQuery(q)
-		if err != nil {
-			tx.Abort()
-			t.Fatal(err)
-		}
-		tx.Commit()
-		if rel.Len() != 0 {
-			t.Fatalf("empty window join returned %d rows", rel.Len())
-		}
-		return db.Stats().RowsScanned - before
-	}
-	pipelineScanned := runOnce()
-	db.SetForceMaterialize(true)
-	materializeScanned := runOnce()
-	db.SetForceMaterialize(false)
-	if pipelineScanned != 0 {
-		t.Fatalf("pipeline scanned %d rows for an identically empty join", pipelineScanned)
-	}
-	if materializeScanned == 0 {
-		t.Fatal("force-materialize knob did not route through the fallback executor")
 	}
 }

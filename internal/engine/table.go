@@ -398,25 +398,14 @@ func (t *Table) scan(pred relalg.Predicate) *relalg.Relation {
 // lock-free: the caller must hold a ReadView at or above asOf (AsOf at or
 // below the stable CSN).
 func (t *Table) scanAsOf(pred relalg.Predicate, asOf relalg.CSN) *relalg.Relation {
-	return t.scanAsOfPart(pred, asOf, nil)
-}
-
-// scanAsOfPart is scanAsOf restricted to one partition slice (nil spec =
-// full table).
-func (t *Table) scanAsOfPart(pred relalg.Predicate, asOf relalg.CSN, spec *PartSpec) *relalg.Relation {
 	t.latch.RLock()
 	defer t.latch.RUnlock()
 	out := relalg.NewRelation(t.schema)
-	shards, pure := t.sliceShards(spec)
-	filter := spec.sliced()
-	for _, sh := range shards {
+	for _, sh := range t.shards {
 		it := sh.First()
 		for ; it.Valid(); it.Next() {
 			born, dead, row := decodeVersionedRow(it.Value())
 			if !visibleAt(born, dead, asOf) {
-				continue
-			}
-			if filter && !spec.admits(row[t.partCol], pure) {
 				continue
 			}
 			if pred != nil && !pred.Eval(row) {

@@ -6,12 +6,6 @@ import (
 	"repro/internal/relalg"
 )
 
-// DisableBatchPool turns off all container recycling — per-pipeline
-// arenas and the global fallback pool — making every operator allocate
-// fresh batches and hash tables. A/B knob for the allocation
-// benchmarks; set before starting work.
-var DisableBatchPool = false
-
 // Arena is a per-propagation-step recycler for the containers a
 // pipeline churns through: batches and join hash tables. The engine
 // acquires one arena per drain, threads it through the plan, and
@@ -31,18 +25,15 @@ type Arena struct {
 
 var arenaPool = sync.Pool{New: func() any { return new(Arena) }}
 
-// NewArena returns an arena, reusing a released one when pooling is on.
+// NewArena returns an arena, reusing a released one.
 func NewArena() *Arena {
-	if DisableBatchPool {
-		return new(Arena)
-	}
 	return arenaPool.Get().(*Arena)
 }
 
 // Release returns the arena (and everything checked back into it) to
 // the shared pool. The caller must not use it afterwards.
 func (a *Arena) Release() {
-	if a == nil || DisableBatchPool {
+	if a == nil {
 		return
 	}
 	arenaPool.Put(a)
@@ -72,9 +63,6 @@ func (a *Arena) PutBatch(b *relalg.Batch) {
 		putBatch(b)
 		return
 	}
-	if DisableBatchPool {
-		return
-	}
 	a.batches = append(a.batches, b)
 }
 
@@ -93,7 +81,7 @@ func (a *Arena) Table(cols []int) *relalg.HashTable {
 
 // PutTable checks a hash table back in.
 func (a *Arena) PutTable(t *relalg.HashTable) {
-	if a == nil || t == nil || DisableBatchPool {
+	if a == nil || t == nil {
 		return
 	}
 	a.tables = append(a.tables, t)

@@ -43,16 +43,13 @@ func batchSize(n int) int {
 var batchPool = sync.Pool{New: func() any { return relalg.NewBatch(DefaultBatchSize) }}
 
 func getBatch() *relalg.Batch {
-	if DisableBatchPool {
-		return relalg.NewBatch(DefaultBatchSize)
-	}
 	b := batchPool.Get().(*relalg.Batch)
 	b.Reset()
 	return b
 }
 
 func putBatch(b *relalg.Batch) {
-	if b == nil || DisableBatchPool {
+	if b == nil {
 		return
 	}
 	batchPool.Put(b)

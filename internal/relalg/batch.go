@@ -2,18 +2,14 @@ package relalg
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/tuple"
 )
 
-// Batch is the unit of data flow between streaming operators. The default
-// layout is columnar: per-column typed vectors (see column) plus parallel
-// count and timestamp vectors, with an optional selection vector that
-// narrows the batch to a subset of its physical rows without copying
-// them. A row layout (the pre-columnar representation, one Row per
-// element) remains available behind NewRowBatch/SetRowLayout so the two
-// can be A/B-compared; every accessor works identically in both modes.
+// Batch is the unit of data flow between streaming operators. Its layout
+// is columnar: per-column typed vectors (see column) plus parallel count
+// and timestamp vectors, with an optional selection vector that narrows
+// the batch to a subset of its physical rows without copying them.
 //
 // Ownership contract: a batch is filled by exactly one producer and then
 // read by consumers. Consumers never append to a batch they received —
@@ -24,14 +20,11 @@ import (
 // retain data beyond the next Reset must copy it out (MaterializeInto,
 // EncodeRowAt).
 type Batch struct {
-	rowMode bool
-	rows    []Row
-
 	ncols  int // arity; -1 until the first append fixes it
 	cols   []column
 	counts []int64
 	tss    []CSN
-	n      int // physical rows (columnar mode)
+	n      int // physical rows
 
 	sel    []int32 // selection vector (physical indices); nil = all rows
 	selBuf []int32
@@ -48,25 +41,8 @@ type Batch struct {
 // through — any later append reallocates.
 var emptySel = []int32{}
 
-// rowLayout flips the layout NewBatch produces. It exists for the
-// row-vs-columnar A/B experiment; production code leaves it off.
-var rowLayoutFlag atomic.Bool
-
-// SetRowLayout makes NewBatch produce row-layout batches (true) or
-// columnar batches (false, the default). Set it before any work starts:
-// it is read per NewBatch call, and mixing layouts within one pipeline,
-// while supported, defeats the columnar kernels.
-func SetRowLayout(on bool) { rowLayoutFlag.Store(on) }
-
-// RowLayout reports the current default batch layout.
-func RowLayout() bool { return rowLayoutFlag.Load() }
-
-// NewBatch returns an empty batch with the given row-capacity hint, in
-// the layout selected by SetRowLayout.
+// NewBatch returns an empty batch with the given row-capacity hint.
 func NewBatch(capacity int) *Batch {
-	if rowLayoutFlag.Load() {
-		return NewRowBatch(capacity)
-	}
 	return &Batch{
 		ncols:  -1,
 		counts: make([]int64, 0, capacity),
@@ -74,24 +50,8 @@ func NewBatch(capacity int) *Batch {
 	}
 }
 
-// NewRowBatch returns an empty batch in the row layout regardless of the
-// SetRowLayout default.
-func NewRowBatch(capacity int) *Batch {
-	return &Batch{rowMode: true, ncols: -1, rows: make([]Row, 0, capacity)}
-}
-
-// BatchFromRows wraps an existing row slice as a row-layout batch without
-// copying. The caller must not mutate rows while the batch is in use.
-func BatchFromRows(rows []Row) *Batch {
-	return &Batch{rowMode: true, ncols: -1, rows: rows}
-}
-
-// RowMode reports whether the batch uses the row layout.
-func (b *Batch) RowMode() bool { return b.rowMode }
-
 // Reset clears the batch for reuse, keeping all storage.
 func (b *Batch) Reset() {
-	b.rows = b.rows[:0]
 	for c := range b.cols {
 		b.cols[c].reset()
 	}
@@ -100,9 +60,6 @@ func (b *Batch) Reset() {
 	b.n = 0
 	b.ncols = -1
 	b.sel = nil
-	if b.rowMode {
-		b.ncols = -1
-	}
 }
 
 // Len returns the number of rows visible through the current selection.
@@ -110,21 +67,12 @@ func (b *Batch) Len() int {
 	if b.sel != nil {
 		return len(b.sel)
 	}
-	if b.rowMode {
-		return len(b.rows)
-	}
 	return b.n
 }
 
 // Arity returns the column count, or -1 for an empty batch that has not
 // fixed one yet.
 func (b *Batch) Arity() int {
-	if b.rowMode {
-		if len(b.rows) > 0 {
-			return len(b.rows[0].Tuple)
-		}
-		return -1
-	}
 	return b.ncols
 }
 
@@ -155,10 +103,6 @@ func (b *Batch) setArity(k int) {
 
 // Add appends one row given as a tuple plus its count and timestamp.
 func (b *Batch) Add(t tuple.Tuple, count int64, ts CSN) {
-	if b.rowMode {
-		b.rows = append(b.rows, Row{Tuple: t, Count: count, TS: ts})
-		return
-	}
 	b.setArity(len(t))
 	for c := range t {
 		b.cols[c].appendValue(t[c])
@@ -171,13 +115,10 @@ func (b *Batch) Add(t tuple.Tuple, count int64, ts CSN) {
 // Append appends a Row.
 func (b *Batch) Append(r Row) { b.Add(r.Tuple, r.Count, r.TS) }
 
-// RowAt materializes row i as a Row. In columnar mode this allocates a
-// fresh tuple; it is a boundary operation, not a kernel.
+// RowAt materializes row i as a Row. This allocates a fresh tuple; it is
+// a boundary operation, not a kernel.
 func (b *Batch) RowAt(i int) Row {
 	p := b.phys(i)
-	if b.rowMode {
-		return b.rows[p]
-	}
 	t := make(tuple.Tuple, b.ncols)
 	for c := range t {
 		t[c] = b.cols[c].valueAt(p)
@@ -187,29 +128,17 @@ func (b *Batch) RowAt(i int) Row {
 
 // ValueAt returns column c of row i.
 func (b *Batch) ValueAt(i, c int) tuple.Value {
-	p := b.phys(i)
-	if b.rowMode {
-		return b.rows[p].Tuple[c]
-	}
-	return b.cols[c].valueAt(p)
+	return b.cols[c].valueAt(b.phys(i))
 }
 
 // CountAt returns the count of row i.
 func (b *Batch) CountAt(i int) int64 {
-	p := b.phys(i)
-	if b.rowMode {
-		return b.rows[p].Count
-	}
-	return b.counts[p]
+	return b.counts[b.phys(i)]
 }
 
 // TSAt returns the timestamp of row i.
 func (b *Batch) TSAt(i int) CSN {
-	p := b.phys(i)
-	if b.rowMode {
-		return b.rows[p].TS
-	}
-	return b.tss[p]
+	return b.tss[b.phys(i)]
 }
 
 // tupleInto fills dst with row i's values, growing it as needed, and
@@ -217,9 +146,6 @@ func (b *Batch) TSAt(i int) CSN {
 // batch is Reset.
 func (b *Batch) tupleInto(dst tuple.Tuple, i int) tuple.Tuple {
 	p := b.phys(i)
-	if b.rowMode {
-		return b.rows[p].Tuple
-	}
 	dst = dst[:0]
 	for c := 0; c < b.ncols; c++ {
 		dst = append(dst, b.cols[c].valueAt(p))
@@ -227,13 +153,8 @@ func (b *Batch) tupleInto(dst tuple.Tuple, i int) tuple.Tuple {
 	return dst
 }
 
-// AppendRowOf appends row i of src, copying column-wise when both sides
-// are columnar.
+// AppendRowOf appends row i of src, copying column-wise.
 func (b *Batch) AppendRowOf(src *Batch, i int) {
-	if b.rowMode || src.rowMode {
-		b.Append(src.RowAt(i))
-		return
-	}
 	p := src.phys(i)
 	b.setArity(src.ncols)
 	for c := range b.cols {
@@ -246,15 +167,10 @@ func (b *Batch) AppendRowOf(src *Batch, i int) {
 
 // AppendJoined appends the join combination of row li of l and row ri of
 // r: concatenated columns, count product, min non-null timestamp
-// (Section 3.3's combination rule), as a pure column move when all three
-// batches are columnar.
+// (Section 3.3's combination rule), as a pure column move.
 func (b *Batch) AppendJoined(l *Batch, li int, r *Batch, ri int) {
 	count := l.CountAt(li) * r.CountAt(ri)
 	ts := MinTS(l.TSAt(li), r.TSAt(ri))
-	if b.rowMode || l.rowMode || r.rowMode {
-		b.Add(tuple.Concat(l.RowAt(li).Tuple, r.RowAt(ri).Tuple), count, ts)
-		return
-	}
 	lp, rp := l.phys(li), r.phys(ri)
 	b.setArity(l.ncols + r.ncols)
 	for c := 0; c < l.ncols; c++ {
@@ -268,39 +184,12 @@ func (b *Batch) AppendJoined(l *Batch, li int, r *Batch, ri int) {
 	b.n++
 }
 
-// AppendJoinedRow appends the join combination of row li of l with a
-// materialized Row (the cached-probe path: matches live in the resident
-// join-state cache as Rows).
-func (b *Batch) AppendJoinedRow(l *Batch, li int, m Row) {
-	count := l.CountAt(li) * m.Count
-	ts := MinTS(l.TSAt(li), m.TS)
-	if b.rowMode || l.rowMode {
-		b.Add(tuple.Concat(l.RowAt(li).Tuple, m.Tuple), count, ts)
-		return
-	}
-	lp := l.phys(li)
-	b.setArity(l.ncols + len(m.Tuple))
-	for c := 0; c < l.ncols; c++ {
-		b.cols[c].appendFrom(&l.cols[c], lp)
-	}
-	for c, v := range m.Tuple {
-		b.cols[l.ncols+c].appendValue(v)
-	}
-	b.counts = append(b.counts, count)
-	b.tss = append(b.tss, ts)
-	b.n++
-}
-
 // AppendConcatTuple appends row li of l concatenated with a bare probe
 // tuple, keeping l's count and timestamp (the index-nested-loop path:
 // probe results are base rows with no count/timestamp of their own).
 func (b *Batch) AppendConcatTuple(l *Batch, li int, m tuple.Tuple) {
 	count := l.CountAt(li)
 	ts := l.TSAt(li)
-	if b.rowMode || l.rowMode {
-		b.Add(tuple.Concat(l.RowAt(li).Tuple, m), count, ts)
-		return
-	}
 	lp := l.phys(li)
 	b.setArity(l.ncols + len(m))
 	for c := 0; c < l.ncols; c++ {
@@ -319,12 +208,6 @@ func (b *Batch) AppendConcatTuple(l *Batch, li int, m tuple.Tuple) {
 // (rare) force a copy of the later occurrence so no two columns alias
 // the same storage. Counts, timestamps, and the selection are untouched.
 func (b *Batch) ProjectInPlace(idx []int) {
-	if b.rowMode {
-		for i := range b.rows {
-			b.rows[i].Tuple = b.rows[i].Tuple.Project(idx)
-		}
-		return
-	}
 	if b.ncols == -1 {
 		b.setArity(len(idx))
 		return
@@ -408,12 +291,9 @@ func (b *Batch) MaterializeInto(dst []Row) []Row {
 }
 
 // EncodeRowAt appends the row encoding (tuple.EncodeRow format) of row i
-// to dst, serializing straight from column storage in columnar mode.
+// to dst, serializing straight from column storage.
 func (b *Batch) EncodeRowAt(dst []byte, i int) []byte {
 	p := b.phys(i)
-	if b.rowMode {
-		return tuple.EncodeRow(dst, b.rows[p].Tuple)
-	}
 	dst = tuple.AppendRowArity(dst, b.ncols)
 	for c := 0; c < b.ncols; c++ {
 		dst = b.cols[c].encodeRowValue(dst, p)
@@ -422,8 +302,8 @@ func (b *Batch) EncodeRowAt(dst []byte, i int) []byte {
 }
 
 // hashColsSeed is the seed every multi-column hash starts from (shared
-// with the materializing join's hashCols in ops.go so row and columnar
-// paths agree).
+// with the materializing join's hashCols in ops.go so batch and tuple
+// hashes agree).
 const hashColsSeed uint64 = 1469598103934665603
 
 // HashAt hashes the named columns of row i, chaining per column exactly
@@ -431,13 +311,6 @@ const hashColsSeed uint64 = 1469598103934665603
 func (b *Batch) HashAt(i int, cols []int) uint64 {
 	p := b.phys(i)
 	h := hashColsSeed
-	if b.rowMode {
-		t := b.rows[p].Tuple
-		for _, c := range cols {
-			h = t[c].Hash(h)
-		}
-		return h
-	}
 	for _, c := range cols {
 		h = b.cols[c].hashAt(p, h)
 	}
@@ -449,24 +322,7 @@ func (b *Batch) HashAt(i int, cols []int) uint64 {
 func colsEqualAt(a *Batch, ai int, acols []int, d *Batch, di int, dcols []int) bool {
 	pa, pd := a.phys(ai), d.phys(di)
 	for k := range acols {
-		if !a.rowMode && !d.rowMode {
-			if !a.cols[acols[k]].equalAt(pa, &d.cols[dcols[k]], pd) {
-				return false
-			}
-			continue
-		}
-		var va, vd tuple.Value
-		if a.rowMode {
-			va = a.rows[pa].Tuple[acols[k]]
-		} else {
-			va = a.cols[acols[k]].valueAt(pa)
-		}
-		if d.rowMode {
-			vd = d.rows[pd].Tuple[dcols[k]]
-		} else {
-			vd = d.cols[dcols[k]].valueAt(pd)
-		}
-		if !tuple.Equal(va, vd) {
+		if !a.cols[acols[k]].equalAt(pa, &d.cols[dcols[k]], pd) {
 			return false
 		}
 	}
@@ -478,14 +334,6 @@ func colsEqualAt(a *Batch, ai int, acols []int, d *Batch, di int, dcols []int) b
 // materializing a Tuple) and attaches the given count and timestamp. It
 // returns the bytes remaining after the row.
 func (b *Batch) AppendDecodedRow(enc []byte, count int64, ts CSN) ([]byte, error) {
-	if b.rowMode {
-		t, rest, err := tuple.DecodeRow(enc)
-		if err != nil {
-			return nil, err
-		}
-		b.Add(t, count, ts)
-		return rest, nil
-	}
 	b.sink.b = b
 	b.sink.err = nil
 	rest, err := tuple.DecodeRowInto(enc, &b.sink)
@@ -569,21 +417,10 @@ func (s *batchSink) PushBytes(p []byte) {
 // Footprint returns the approximate resident bytes of the batch's
 // storage (capacities, not fill levels), for arena accounting.
 func (b *Batch) Footprint() int64 {
-	n := int64(cap(b.counts))*8 + int64(cap(b.tss))*8 + int64(cap(b.selBuf))*4 + int64(cap(b.rows))*48
+	n := int64(cap(b.counts))*8 + int64(cap(b.tss))*8 + int64(cap(b.selBuf))*4
 	cols := b.cols[:cap(b.cols)]
 	for c := range cols {
 		n += cols[c].footprint()
 	}
 	return n
-}
-
-// Combine applies the paper's join combination rule to one pair of rows:
-// concatenated tuple, product of counts, minimum of non-null timestamps
-// (Section 3.3).
-func Combine(l, r Row) Row {
-	return Row{
-		Tuple: tuple.Concat(l.Tuple, r.Tuple),
-		Count: l.Count * r.Count,
-		TS:    MinTS(l.TS, r.TS),
-	}
 }

@@ -27,17 +27,14 @@ func fillBatch(b *Batch, rows []Row) {
 	}
 }
 
-func eachLayout(t *testing.T, fn func(t *testing.T, newBatch func(int) *Batch)) {
-	t.Run("columnar", func(t *testing.T) {
-		fn(t, func(c int) *Batch {
-			return &Batch{ncols: -1, counts: make([]int64, 0, c), tss: make([]CSN, 0, c)}
-		})
-	})
-	t.Run("row", func(t *testing.T) { fn(t, NewRowBatch) })
+// columnar runs fn as the "columnar" subtest with NewBatch as its batch
+// constructor.
+func columnar(t *testing.T, fn func(t *testing.T, newBatch func(int) *Batch)) {
+	t.Run("columnar", func(t *testing.T) { fn(t, NewBatch) })
 }
 
 func TestBatchRoundTrip(t *testing.T) {
-	eachLayout(t, func(t *testing.T, newBatch func(int) *Batch) {
+	columnar(t, func(t *testing.T, newBatch func(int) *Batch) {
 		rows := testRows()
 		b := newBatch(2)
 		fillBatch(b, rows)
@@ -77,7 +74,7 @@ func TestBatchRoundTrip(t *testing.T) {
 }
 
 func TestBatchAppendDecodedRow(t *testing.T) {
-	eachLayout(t, func(t *testing.T, newBatch func(int) *Batch) {
+	columnar(t, func(t *testing.T, newBatch func(int) *Batch) {
 		rows := testRows()
 		var enc []byte
 		for _, r := range rows {
@@ -103,14 +100,14 @@ func TestBatchAppendDecodedRow(t *testing.T) {
 				t.Fatalf("row %d count/ts mismatch", i)
 			}
 		}
-		if _, err := b.AppendDecodedRow(tuple.EncodeRow(nil, tuple.Tuple{tuple.Int(1)}), 1, 1); err == nil && !b.rowMode {
+		if _, err := b.AppendDecodedRow(tuple.EncodeRow(nil, tuple.Tuple{tuple.Int(1)}), 1, 1); err == nil {
 			t.Fatal("arity mismatch not rejected")
 		}
 	})
 }
 
 func TestBatchRetainSelection(t *testing.T) {
-	eachLayout(t, func(t *testing.T, newBatch func(int) *Batch) {
+	columnar(t, func(t *testing.T, newBatch func(int) *Batch) {
 		b := newBatch(8)
 		for i := 0; i < 8; i++ {
 			b.Add(tuple.Tuple{tuple.Int(int64(i))}, 1, CSN(i))
@@ -164,7 +161,7 @@ func TestBatchRetainSelection(t *testing.T) {
 }
 
 func TestBatchProjectInPlace(t *testing.T) {
-	eachLayout(t, func(t *testing.T, newBatch func(int) *Batch) {
+	columnar(t, func(t *testing.T, newBatch func(int) *Batch) {
 		rows := testRows()
 		for _, idx := range [][]int{{1, 0}, {2}, {1, 1, 0}, {4, 3, 2, 1, 0}} {
 			b := newBatch(4)
@@ -217,21 +214,21 @@ func TestBatchProjectThenWiderRefill(t *testing.T) {
 }
 
 func TestBatchJoinAppends(t *testing.T) {
-	eachLayout(t, func(t *testing.T, newBatch func(int) *Batch) {
+	columnar(t, func(t *testing.T, newBatch func(int) *Batch) {
 		l := newBatch(2)
 		l.Add(tuple.Tuple{tuple.Int(1), tuple.String_("a")}, 2, 9)
 		r := newBatch(2)
 		r.Add(tuple.Tuple{tuple.Float(0.5)}, 3, NullTS)
 		out := newBatch(2)
 		out.AppendJoined(l, 0, r, 0)
-		out.AppendJoinedRow(l, 0, Row{Tuple: tuple.Tuple{tuple.Bool(true)}, Count: -1, TS: 4})
+		out.AppendConcatTuple(l, 0, tuple.Tuple{tuple.Bool(true)})
 		got := out.RowAt(0)
 		if got.Count != 6 || got.TS != 9 || len(got.Tuple) != 3 {
 			t.Fatalf("AppendJoined = %+v", got)
 		}
 		got = out.RowAt(1)
-		if got.Count != -2 || got.TS != 4 || !got.Tuple[2].AsBool() {
-			t.Fatalf("AppendJoinedRow = %+v", got)
+		if got.Count != 2 || got.TS != 9 || !got.Tuple[2].AsBool() {
+			t.Fatalf("AppendConcatTuple = %+v", got)
 		}
 	})
 }
@@ -264,7 +261,7 @@ func TestBatchDictReuseAcrossReset(t *testing.T) {
 }
 
 func TestHashTableMatchesReferenceJoin(t *testing.T) {
-	eachLayout(t, func(t *testing.T, newBatch func(int) *Batch) {
+	columnar(t, func(t *testing.T, newBatch func(int) *Batch) {
 		build := testRows()
 		probes := []tuple.Tuple{
 			{tuple.String_("red"), tuple.Int(0)},
@@ -344,7 +341,7 @@ func TestFilterBatchMatchesEval(t *testing.T) {
 		Or{ColConst{Col: 0, Op: OpEQ, Val: tuple.Int(2)}, ColConst{Col: 3, Op: OpEQ, Val: tuple.Bool(true)}},
 		Not{P: ColConst{Col: 0, Op: OpLT, Val: tuple.Int(0)}},
 	}
-	eachLayout(t, func(t *testing.T, newBatch func(int) *Batch) {
+	columnar(t, func(t *testing.T, newBatch func(int) *Batch) {
 		rows := testRows()
 		for _, p := range preds {
 			b := newBatch(4)

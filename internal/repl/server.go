@@ -28,6 +28,32 @@ type Server struct {
 	tails    atomic.Int64 // live /v1/wal streams
 }
 
+// HTTP limits of the serving layer. A POST body larger than MaxBodyBytes
+// is answered 413. The timeouts bound how long a client may take to send
+// its request headers, to send a whole request, and to idle between
+// requests on a kept-alive connection. There is deliberately no write
+// timeout: /v1/wal and /v1/deltas stream for as long as their client
+// stays. ReadTimeout does not cut them either, because net/http lifts the
+// read deadline once a request has been read in full.
+const (
+	MaxBodyBytes      = 8 << 20
+	ReadHeaderTimeout = 5 * time.Second
+	ReadTimeout       = 30 * time.Second
+	IdleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer returns an http.Server serving h on addr with the serving
+// layer's timeouts.
+func NewHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: ReadHeaderTimeout,
+		ReadTimeout:       ReadTimeout,
+		IdleTimeout:       IdleTimeout,
+	}
+}
+
 // NewServer wraps the database. On a leader it also installs the
 // replication stats hook so engine.Stats reports the shipping side.
 func NewServer(db *rollingjoin.DB) *Server {
@@ -83,6 +109,25 @@ func writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, httpStatusFor(err), errorResponse{Error: err.Error()})
 }
 
+// decodeBody decodes the JSON request body, read through a MaxBodyBytes
+// limit, into v. On failure it answers the request itself (413 for an
+// oversized body, 400 otherwise) and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{
+			Error: fmt.Sprintf("repl: %s body exceeds %d bytes", what, tooLarge.Limit),
+		})
+		return false
+	}
+	writeErr(w, fmt.Errorf("repl: bad %s body: %w", what, err))
+	return false
+}
+
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	role := "leader"
 	if s.db.IsFollower() {
@@ -106,8 +151,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 	var req CommitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, fmt.Errorf("repl: bad commit body: %w", err))
+	if !decodeBody(w, r, "commit", &req) {
 		return
 	}
 	if len(req.Ops) == 0 {
@@ -164,8 +208,7 @@ func decodeFilters(in []WireFilter) ([]rollingjoin.Filter, error) {
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, fmt.Errorf("repl: bad query body: %w", err))
+	if !decodeBody(w, r, "query", &req) {
 		return
 	}
 	spec := rollingjoin.ViewSpec{Tables: req.Tables}
@@ -198,8 +241,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMaterialize(w http.ResponseWriter, r *http.Request) {
 	var req MaterializeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, fmt.Errorf("repl: bad materialize body: %w", err))
+	if !decodeBody(w, r, "materialize", &req) {
 		return
 	}
 	v, ok := s.db.View(req.View)

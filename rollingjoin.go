@@ -69,10 +69,9 @@ type Options struct {
 	// sustained ingest. Point-in-time refresh above the fold line is
 	// unaffected.
 	FoldDeltas bool
-	// SpillDir enables cold spill: derived images and join-cache
-	// partitions untouched for SpillAfter serialize into a per-process
-	// subdirectory of SpillDir and reload lazily on next access. Empty
-	// disables spilling.
+	// SpillDir enables cold spill: derived images untouched for
+	// SpillAfter serialize into a per-process subdirectory of SpillDir and
+	// reload lazily on next access. Empty disables spilling.
 	SpillDir string
 	// SpillAfter is the idleness window before a structure is considered
 	// cold (default one minute).
@@ -275,11 +274,6 @@ func (db *DB) Close() error {
 // Engine exposes the underlying engine for advanced use (benchmarks and
 // experiments).
 func (db *DB) Engine() *engine.DB { return db.eng }
-
-// SetJoinCache toggles the resident join-state cache for propagation
-// queries: eligible queries probe incrementally maintained hash indexes
-// over the base tables instead of scanning the heaps under table locks.
-func (db *DB) SetJoinCache(v bool) { db.eng.SetJoinCache(v) }
 
 // Source exposes the capture progress watermark.
 func (db *DB) Source() capture.Source {
